@@ -105,11 +105,6 @@ let tests () =
               ~executions:[ Lazy.force disease_exec ] ()
           in
           fun () -> Materialized.materialize repo ~levels:[ 0; 1 ]));
-    Test.make ~name:"A2.cached-reaches"
-      (Staged.stage
-         (let cache = Reach_cache.create () in
-          let view = Exec_view.coarsest (Lazy.force disease_exec) in
-          fun () -> Reach_cache.reaches cache ~key:"k" view 0 1));
     Test.make ~name:"S.session-zoom"
       (Staged.stage (fun () ->
            let s =

@@ -15,7 +15,8 @@ let escape s =
     s;
   Buffer.contents buf
 
-let render ?(name = "g") ?(node_style = default_node_style) ?edge_label g =
+let render_edges ?(name = "g") ?(node_style = default_node_style) ?edge_label
+    ~nodes edges =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (Printf.sprintf "digraph \"%s\" {\n" (escape name));
   Buffer.add_string buf "  rankdir=TB;\n";
@@ -30,7 +31,7 @@ let render ?(name = "g") ?(node_style = default_node_style) ?edge_label g =
       Buffer.add_string buf
         (Printf.sprintf "  n%d [label=\"%s\", shape=%s%s];\n" u
            (escape st.label) st.shape fill))
-    (Digraph.nodes g);
+    nodes;
   List.iter
     (fun (u, v) ->
       let lbl =
@@ -42,12 +43,10 @@ let render ?(name = "g") ?(node_style = default_node_style) ?edge_label g =
         | None -> ""
       in
       Buffer.add_string buf (Printf.sprintf "  n%d -> n%d%s;\n" u v lbl))
-    (Digraph.edges g);
+    edges;
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-let render_to_file ?name ?node_style ?edge_label path g =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (render ?name ?node_style ?edge_label g))
+let render ?name ?node_style ?edge_label g =
+  render_edges ?name ?node_style ?edge_label ~nodes:(Digraph.nodes g)
+    (Digraph.edges g)

@@ -23,11 +23,12 @@ val render :
 (** [render g] is a complete [digraph { ... }] document. String labels are
     escaped. *)
 
-val render_to_file :
+val render_edges :
   ?name:string ->
   ?node_style:(int -> node_style) ->
   ?edge_label:(int -> int -> string option) ->
-  string ->
-  Digraph.t ->
-  unit
-(** Write {!render} output to the given path. *)
+  nodes:int list ->
+  (int * int) list ->
+  string
+(** {!render} over explicit node and edge lists, emitted in the order
+    given — for graphs held in another representation (a CSR plane). *)

@@ -24,13 +24,10 @@ let h_closure_ns = Obs.Registry.histogram "engine.closure_build_ns"
 
 type io = Io_input | Io_output | Io_none
 
-(* External id -> dense index. Execution graphs are already dense
-   (ids are [0..n-1]): no table at all. Near-contiguous id ranges get a
-   flat lookaside; only genuinely sparse universes pay a hashtable. *)
-type lookup =
-  | Identity
-  | Compact of { lo : int; map : int array }
-  | Table of (int, int) Hashtbl.t
+(* External id -> dense index: none for dense execution ids, else one
+   array indexed by external id, trusted only where [node_of] maps back
+   (a collapsed view's class array, whose hidden nodes stay unknown). *)
+type lookup = Identity | Remap of int array
 
 type t = {
   e_spec : Spec.t;
@@ -46,12 +43,12 @@ type t = {
          re-scanning all n nodes on every query. Buckets are the
          engine's own — never mutated, never handed out. *)
   io_kind : io array;
-  carries : (int * int, string list) Hashtbl.t Lazy.t;
-      (* dense edge -> data names. Lazy: the build walks every edge
-         asking the view for its carried items — a large share of
-         preparation on big graphs — yet only carry-constrained edge
-         joins ever read it. [run_batch] forces it before fanning out
-         (Lazy is not domain-safe), like the hierarchy. *)
+  carries : string list array Lazy.t;
+      (* plane edge index -> data names. Lazy: the build walks every
+         edge naming its carried items — a large share of preparation on
+         big graphs — yet only carry-constrained edge joins ever read
+         it. [run_batch] forces it before fanning out (Lazy is not
+         domain-safe), like the hierarchy. *)
   reaches_override : (int -> int -> bool) option; (* over external ids *)
   closure : Bitset.t array option Atomic.t;
       (* the one mutable cell of a prepared view: written exactly once,
@@ -66,37 +63,29 @@ type witness = { holds : bool; nodes : int list }
 (* ------------------------------------------------------------------ *)
 (* Preparation *)
 
-let lookup_find lookup n u =
+let lookup_find lookup node_of u =
   match lookup with
-  | Identity -> if u >= 0 && u < n then Some u else None
-  | Compact { lo; map } ->
-      if u < lo || u - lo >= Array.length map then None
+  | Identity -> if u >= 0 && u < Array.length node_of then Some u else None
+  | Remap map ->
+      if u < 0 || u >= Array.length map then None
       else
-        let i = Array.unsafe_get map (u - lo) in
-        if i < 0 then None else Some i
-  | Table h -> Hashtbl.find_opt h u
+        let i = Array.unsafe_get map u in
+        if i >= 0 && i < Array.length node_of && node_of.(i) = u then Some i
+        else None
 
 let build_lookup node_of =
-  let n = Array.length node_of in
   let identity = ref true in
   Array.iteri (fun i u -> if u <> i then identity := false) node_of;
   if !identity then Identity
   else begin
-    (* Node ids are near-contiguous in practice: when the id range is
-       compact, a flat array lookaside replaces one hashtable probe per
-       edge — a large share of preparation on dense graphs. *)
-    let lo = Array.fold_left min max_int node_of in
-    let hi = Array.fold_left max min_int node_of in
-    if n > 0 && hi - lo < (4 * n) + 8 then begin
-      let map = Array.make (hi - lo + 1) (-1) in
-      Array.iteri (fun i u -> map.(u - lo) <- i) node_of;
-      Compact { lo; map }
-    end
-    else begin
-      let h = Hashtbl.create (max n 1) in
-      Array.iteri (fun i u -> Hashtbl.replace h u i) node_of;
-      Table h
-    end
+    let hi = Array.fold_left max (-1) node_of in
+    let map = Array.make (hi + 1) (-1) in
+    Array.iteri
+      (fun i u ->
+        if u < 0 then invalid_arg "Engine: negative node id";
+        map.(u) <- i)
+      node_of;
+    Remap map
   end
 
 (* Sorted dense-index buckets per module id, sized exactly: two counting
@@ -122,73 +111,55 @@ let index_modules modules =
     modules;
   buckets
 
-let carries_of_graph graph node_of carry_names =
-  lazy
-    (let carries = Hashtbl.create 32 in
-     for i = 0 to Array.length node_of - 1 do
-       Csr.iter_succ graph i (fun j ->
-           match carry_names node_of.(i) node_of.(j) with
-           | [] -> ()
-           | names -> Hashtbl.replace carries (i, j) names)
-     done;
-     carries)
-
-let prepare ~spec ~nodes ~degree_of ~iter_succ_of ~module_of ~io_of
-    ~carry_names ?reaches () =
-  let node_of = Array.of_list nodes in
-  let n = Array.length node_of in
-  let lookup = build_lookup node_of in
-  let ascending =
-    (* Monotone external->dense: each row's targets arrive already
-       ascending in dense space, so the CSR build skips its sort. Every
-       preparation path passes sorted node lists; stay correct if one
-       ever does not. *)
-    let ok = ref true in
-    for i = 1 to n - 1 do
-      if node_of.(i) <= node_of.(i - 1) then ok := false
-    done;
-    !ok
-  in
-  let dense u =
-    match lookup_find lookup n u with Some i -> i | None -> raise Not_found
-  in
-  let graph =
-    Csr.build ~n
-      ~degree:(fun i -> degree_of node_of.(i))
-      ~iter_row:(fun i f -> iter_succ_of node_of.(i) (fun v -> f (dense v)))
-      ~sorted:ascending ()
-  in
+let make ~spec ~node_of ~lookup ~graph ~modules ~io_kind ~carries ?reaches () =
   Obs.Counter.incr_op m_prepares;
-  let modules =
-    Array.map
-      (fun u -> match module_of u with Some m -> m | None -> -1)
-      node_of
-  in
   {
     e_spec = spec;
     hierarchy = lazy (Hierarchy.of_spec spec);
-    n;
+    n = Array.length node_of;
     node_of;
     lookup;
     graph;
     modules;
     by_module = index_modules modules;
-    io_kind = Array.map io_of node_of;
-    carries = carries_of_graph graph node_of carry_names;
+    io_kind;
+    carries;
     reaches_override = reaches;
     closure = Atomic.make None;
     closure_lock = Mutex.create ();
   }
 
+(* Spec-sized preparation: the nodes are module ids (sorted, so the
+   renumbering is monotone and rows stay ascending), each its own
+   module; every edge's carried data is named once. *)
+let of_digraph ?reaches spec g ~carry_names =
+  let node_of = Array.of_list (Digraph.nodes g) in
+  let n = Array.length node_of in
+  let lookup = build_lookup node_of in
+  let dense u = Option.get (lookup_find lookup node_of u) in
+  let graph =
+    Csr.build ~n
+      ~degree:(fun i -> Digraph.out_degree g node_of.(i))
+      ~iter_row:(fun i f ->
+        Digraph.iter_succ (fun v -> f (dense v)) g node_of.(i))
+      ~sorted:true ()
+  in
+  let carries =
+    lazy
+      (let a = Array.make (Csr.nb_edges graph) [] in
+       for i = 0 to n - 1 do
+         for e = Csr.row_start graph i to Csr.row_stop graph i - 1 do
+           a.(e) <- carry_names node_of.(i) node_of.(Csr.target graph e)
+         done
+       done;
+       a)
+  in
+  make ~spec ~node_of ~lookup ~graph ~modules:node_of
+    ~io_kind:(Array.make n Io_none) ~carries ?reaches ()
+
 let of_spec_view view =
-  let g = View.graph view in
-  prepare ~spec:(View.spec view) ~nodes:(Digraph.nodes g)
-    ~degree_of:(Digraph.out_degree g)
-    ~iter_succ_of:(fun u f -> Digraph.iter_succ f g u)
-    ~module_of:(fun m -> Some m)
-    ~io_of:(fun _ -> Io_none)
-    ~carry_names:(fun a b -> View.edge_data view a b)
-    ()
+  of_digraph (View.spec view) (View.graph view)
+    ~carry_names:(View.edge_data view)
 
 let exec_io exec n =
   match Execution.node_kind exec n with
@@ -196,66 +167,45 @@ let exec_io exec n =
   | Execution.Output -> Io_output
   | _ -> Io_none
 
-let exec_modules exec n =
-  Array.init n (fun i ->
-      match Execution.node_kind exec i with
-      | Execution.Input | Execution.Output -> -1
-      | Execution.Atomic_exec { module_id; _ }
-      | Execution.Begin_composite { module_id; _ }
-      | Execution.End_composite { module_id; _ } ->
-          module_id)
+let exec_module exec n =
+  match Execution.node_kind exec n with
+  | Execution.Input | Execution.Output -> -1
+  | Execution.Atomic_exec { module_id; _ }
+  | Execution.Begin_composite { module_id; _ }
+  | Execution.End_composite { module_id; _ } ->
+      module_id
 
-(* Execution graphs are already dense: take the execution's memoized CSR
-   plane directly — no Digraph round-trip, no id remap, no per-node
-   hashtable entries. This is the preparation fast path a recovered
+(* The one dense constructor of execution engines: the plane (the
+   execution's own, or a view's quotient) is taken as is — no Digraph
+   round-trip, no renumbering — with per-node arrays read off the
+   execution at each dense index's node id and per-edge data items by
+   plane edge index. This is the preparation fast path a recovered
    snapshot rides to its first answer. *)
-let of_execution_dense ?reaches exec ~carry_names =
-  let plane = Execution.csr_plane exec in
-  let n = Execution.nb_nodes exec in
-  let node_of = Array.init n Fun.id in
-  Obs.Counter.incr_op m_prepares;
-  let modules = exec_modules exec n in
-  {
-    e_spec = Execution.spec exec;
-    hierarchy = lazy (Hierarchy.of_spec (Execution.spec exec));
-    n;
-    node_of;
-    lookup = Identity;
-    graph = plane;
-    modules;
-    by_module = index_modules modules;
-    io_kind = Array.init n (exec_io exec);
-    carries = carries_of_graph plane node_of carry_names;
-    reaches_override = reaches;
-    closure = Atomic.make None;
-    closure_lock = Mutex.create ();
-  }
-
-let exec_carry_names exec u v =
-  Execution.edge_items exec u v
-  |> List.map (fun d -> (Execution.find_item exec d).Execution.name)
-
-let of_exec_view ?reaches ev =
-  let e = Exec_view.exec ev in
-  if Exec_view.is_full ev then
-    (* A full-prefix view is structurally the execution: share its flat
-       plane instead of rebuilding adjacency through a Digraph copy. *)
-    of_execution_dense ?reaches e ~carry_names:(exec_carry_names e)
-  else begin
-    let g = Exec_view.adjacency ev in
-    prepare ~spec:(Execution.spec e) ~nodes:(Digraph.nodes g)
-      ~degree_of:(Digraph.out_degree g)
-      ~iter_succ_of:(fun u f -> Digraph.iter_succ f g u)
-      ~module_of:(Exec_view.module_of_node ev)
-      ~io_of:(exec_io e)
-      ~carry_names:(fun u v ->
-        Exec_view.edge_items ev u v
-        |> List.map (fun d -> (Execution.find_item e d).Execution.name))
-      ?reaches ()
-  end
+let of_plane ?reaches exec ~dense ~plane ~edge_items =
+  let node_of, lookup =
+    match dense with
+    | None -> (Array.init (Execution.nb_nodes exec) Fun.id, Identity)
+    | Some { Exec_view.ids; classes } -> (ids, Remap classes)
+  in
+  let names e =
+    List.map
+      (fun d -> (Execution.find_item exec d).Execution.name)
+      (edge_items e)
+  in
+  make ~spec:(Execution.spec exec) ~node_of ~lookup ~graph:plane
+    ~modules:(Array.map (exec_module exec) node_of)
+    ~io_kind:(Array.map (exec_io exec) node_of)
+    ~carries:(lazy (Array.init (Csr.nb_edges plane) names))
+    ?reaches ()
 
 let of_execution exec =
-  of_execution_dense exec ~carry_names:(exec_carry_names exec)
+  of_plane exec ~dense:None ~plane:(Execution.csr_plane exec)
+    ~edge_items:(Execution.edge_items_at exec)
+
+let of_exec_view ?reaches ev =
+  of_plane ?reaches (Exec_view.exec ev) ~dense:(Exec_view.dense ev)
+    ~plane:(Exec_view.plane ev)
+    ~edge_items:(Exec_view.plane_edge_items ev)
 
 let of_spec ?reaches spec =
   (* Module universe: every module (composites included), edges from the
@@ -271,14 +221,8 @@ let of_spec ?reaches spec =
   let g = Digraph.create () in
   List.iter (Digraph.add_node g) (Spec.module_ids spec);
   Hashtbl.iter (fun (u, v) _ -> Digraph.add_edge g u v) edge_data;
-  prepare ~spec ~nodes:(Digraph.nodes g)
-    ~degree_of:(Digraph.out_degree g)
-    ~iter_succ_of:(fun u f -> Digraph.iter_succ f g u)
-    ~module_of:(fun m -> Some m)
-    ~io_of:(fun _ -> Io_none)
-    ~carry_names:(fun u v ->
+  of_digraph ?reaches spec g ~carry_names:(fun u v ->
       Option.value ~default:[] (Hashtbl.find_opt edge_data (u, v)))
-    ?reaches ()
 
 (* ------------------------------------------------------------------ *)
 (* Accessors and predicate matching *)
@@ -286,7 +230,7 @@ let of_spec ?reaches spec =
 let spec t = t.e_spec
 let nb_nodes t = t.n
 let nodes t = Array.to_list t.node_of
-let find_dense t u = lookup_find t.lookup t.n u
+let find_dense t u = lookup_find t.lookup t.node_of u
 let mem t u = find_dense t u <> None
 
 (* Structural digest of the prepared view: nodes, modules and adjacency
@@ -323,10 +267,7 @@ let graph_bytes t =
     Hashtbl.fold (fun _ a acc -> acc + (8 * Array.length a) + 24) t.by_module 0
   in
   let lookup_bytes =
-    match t.lookup with
-    | Identity -> 0
-    | Compact { map; _ } -> 8 * Array.length map
-    | Table h -> 48 * Hashtbl.length h
+    match t.lookup with Identity -> 0 | Remap map -> 8 * Array.length map
   in
   Csr.bytes t.graph + (8 * 3 * t.n) + bucket_bytes + lookup_bytes
 
@@ -634,7 +575,7 @@ let extend ?(carry_names = fun _ _ -> []) t ~nodes ~edges =
      ids before rebuilding the lookup. *)
   List.iter
     (fun (u, _) ->
-      if lookup_find t.lookup t.n u <> None then
+      if find_dense t u <> None then
         invalid_arg "Engine.extend: node id already present")
     nodes;
   let appended = Hashtbl.create (max k 1) in
@@ -649,7 +590,7 @@ let extend ?(carry_names = fun _ _ -> []) t ~nodes ~edges =
     List.map
       (fun (u, v) ->
         let dense w =
-          match lookup_find lookup n' w with
+          match lookup_find lookup node_of w with
           | Some i -> i
           | None -> invalid_arg "Engine.extend: edge endpoint unknown"
         in
@@ -678,14 +619,23 @@ let extend ?(carry_names = fun _ _ -> []) t ~nodes ~edges =
   in
   let carries =
     lazy
-      (let carries = Hashtbl.copy (Lazy.force t.carries) in
-       List.iter
-         (fun (i, j) ->
-           match carry_names node_of.(i) node_of.(j) with
-           | [] -> ()
-           | names -> Hashtbl.replace carries (i, j) names)
-         dense_edges;
-       carries)
+      (let old = Lazy.force t.carries in
+       let a = Array.make (Csr.nb_edges graph) [] in
+       for i = 0 to n' - 1 do
+         (* Each row is its old edges (same order), then the appended. *)
+         let e = ref (Csr.row_start graph i) in
+         if i < t.n then
+           for e_old = Csr.row_start t.graph i to Csr.row_stop t.graph i - 1 do
+             a.(!e) <- old.(e_old);
+             incr e
+           done;
+         Array.iter
+           (fun j ->
+             a.(!e) <- carry_names node_of.(i) node_of.(j);
+             incr e)
+           extra.(i)
+       done;
+       a)
   in
   (* Incremental closure maintenance. Appended edges only ever point into
      the appended region (descendants), so an existing closed row can
@@ -768,17 +718,16 @@ let rec eval t trace plan =
       let pairs = ref [] in
       Array.iter
         (fun i ->
-          Csr.iter_succ t.graph i (fun j ->
-              let ok_carry =
-                match carry with
-                | None -> true
-                | Some d -> (
-                    match Hashtbl.find_opt (Lazy.force t.carries) (i, j) with
-                    | Some names -> List.mem d names
-                    | None -> false)
-              in
-              if ok_carry && dense_matches t j pb then
-                pairs := (t.node_of.(i), t.node_of.(j)) :: !pairs))
+          for e = Csr.row_start t.graph i to Csr.row_stop t.graph i - 1 do
+            let j = Csr.target t.graph e in
+            let ok_carry =
+              match carry with
+              | None -> true
+              | Some d -> List.mem d (Lazy.force t.carries).(e)
+            in
+            if ok_carry && dense_matches t j pb then
+              pairs := (t.node_of.(i), t.node_of.(j)) :: !pairs
+          done)
         (matching_dense t pa);
       record { holds = !pairs <> []; nodes = pair_nodes !pairs }
   | Plan.Reach_join (pa, pb) ->

@@ -2,13 +2,14 @@
     view that every evaluator executes plans against (paper Sec. 4 —
     efficient search under access views).
 
-    Preparing a view renumbers its nodes into a dense [0..n-1] range and
-    builds successor arrays, a module table and an edge-payload table
-    once; the transitive closure is computed on first demand as
-    {!Wfpriv_graph.Bitset} rows (reverse topological propagation, DFS
-    fallback on cycles) and memoized in the prepared value, so repeated
-    structural queries against the same view — a session, a cached user
-    group — pay for reachability once. Privacy never appears here:
+    An engine holds a view as one CSR plane over dense indices [0..n-1]
+    with per-node module/io arrays and per-edge carried data names.
+    Execution views arrive dense ({!Exec_view.plane}) and are taken as
+    is; spec-sized views are renumbered once. The transitive closure is
+    computed on first demand as {!Wfpriv_graph.Bitset} rows (reverse
+    topological propagation, DFS fallback on cycles) and memoized in the
+    prepared value, so repeated structural queries against the same view
+    — a session, a cached user group — pay for reachability once. Privacy never appears here:
     engines are built from {e views}, which already are the privacy
     boundary ({!Access_gate}). *)
 
@@ -28,13 +29,15 @@ val of_spec_view : View.t -> t
 (** Nodes are visible module ids. *)
 
 val of_exec_view : ?reaches:(int -> int -> bool) -> Exec_view.t -> t
-(** Nodes are representative execution node ids. [reaches] overrides the
-    reachability oracle (e.g. {!Reach_cache.reaches} partially applied)
+(** Nodes are representative execution node ids; an execution node
+    hidden inside a collapsed composite is not a node ({!mem} is
+    [false]). The view's plane is shared, not copied. [reaches]
+    overrides the reachability oracle (e.g. a sharded frontier exchange)
     instead of the engine's own closure. *)
 
 val of_execution : Execution.t -> t
-(** The raw provenance graph (no collapsing) — candidate enumeration for
-    {!Exec_search}. *)
+(** The raw provenance graph (no collapsing), sharing the execution's
+    plane — candidate enumeration for {!Exec_search}. *)
 
 val of_spec : ?reaches:(int -> int -> bool) -> Spec.t -> t
 (** The module universe itself: every module of every workflow (composites
@@ -60,9 +63,10 @@ val extend :
     successors — touching only ancestors of an attach point. Answers are
     identical to a from-scratch preparation of the extended graph (the
     differential suite pins rows and witnesses, sequential and
-    parallel). Raises [Invalid_argument] on a duplicate node id, an
-    unknown edge endpoint, an edge into the frozen region, or an engine
-    carrying a [reaches] override (the oracle cannot be extended). *)
+    parallel). Raises [Invalid_argument] on a duplicate or negative node
+    id, an unknown edge endpoint, an edge into the frozen region, or an
+    engine carrying a [reaches] override (the oracle cannot be
+    extended). Ids index a lookup array, so keep them small. *)
 
 (** {2 Prepared-view accessors} *)
 

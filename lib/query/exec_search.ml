@@ -54,15 +54,14 @@ let required_prefix exec w =
         ignore (Execution.find_item exec d);
         (* The item is visible through whichever carrying edge crosses
            composite boundaries the shallowest. *)
-        let g = Execution.graph exec in
         let carrying =
-          Wfpriv_graph.Digraph.fold_edges
-            (fun u v acc ->
-              if List.mem d (Execution.edge_items exec u v) then
+          Execution.fold_edges
+            (fun u v ds acc ->
+              if List.mem d ds then
                 common_prefix (Execution.scope exec u) (Execution.scope exec v)
                 :: acc
               else acc)
-            g []
+            exec []
         in
         (match
            List.sort (fun a b -> compare (List.length a) (List.length b)) carrying

@@ -93,8 +93,12 @@ let pred st =
              (fun c -> c >= '0' && c <= '9')
              (String.sub w 1 (String.length w - 1))
       then
-        Query_ast.Module_is
-          (Wfpriv_workflow.Ids.m (int_of_string (String.sub w 1 (String.length w - 1))))
+        (* [Ids.m k] is [k + 1]: indices below 1, beyond [int] or at
+           [max_int] have no module id. *)
+        match int_of_string_opt (String.sub w 1 (String.length w - 1)) with
+        | Some k when k >= 1 && k < max_int ->
+            Query_ast.Module_is (Wfpriv_workflow.Ids.m k)
+        | _ -> error st (Printf.sprintf "module index out of range in %S" w)
       else error st (Printf.sprintf "unknown predicate %S" w)
 
 let rec parse_or st =

@@ -132,7 +132,12 @@ let top_k_wand ~k ~doc cursors =
             for i = 0 to p do
               d0 := min !d0 (all.(by_lb.(i)).wc_cur ())
             done;
-            if !d0 = max_int then continue := false
+            if !d0 >= d_next then
+              (* Lower bounds undershot: the prefix's real documents lie
+                 at or past the next cursor's bound, whose documents
+                 below [!d0] would be skipped by scoring [!d0] now.
+                 Decoding raised the prefix's bounds; re-sort. *)
+              ()
             else begin
               let s = ref 0.0 in
               for i = 0 to n - 1 do

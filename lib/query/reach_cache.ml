@@ -1,8 +1,4 @@
-module Reachability = Wfpriv_graph.Reachability
-open Wfpriv_workflow
-
-(* Two LRU-evicting tables share the counters: closures (the original
-   per-user-group reachability cache) and prepared engines (whole
+(* One LRU-evicting table of prepared engines per user group (whole
    prepared views, whose bitset closures are memoized inside the
    Engine.t, so a cached engine answers repeated structural queries with
    zero re-preparation). Executions are immutable, so entries never
@@ -21,12 +17,11 @@ let m_hits = Obs.Registry.counter "cache.hits"
 let m_misses = Obs.Registry.counter "cache.misses"
 let m_evictions = Obs.Registry.counter "cache.evictions"
 
-type 'v slot = { value : 'v; mutable last_used : int }
+type slot = { value : Engine.t; mutable last_used : int }
 type stats = { hits : int; misses : int; evictions : int; entries : int }
 
 type t = {
-  table : (string, Reachability.closure slot) Hashtbl.t;
-  engines : (string, Engine.t slot) Hashtbl.t;
+  engines : (string, slot) Hashtbl.t;
   capacity : int;
   mutable tick : int;
   mutable hits : int;
@@ -37,7 +32,6 @@ type t = {
 let create ?(capacity = 256) () =
   if capacity < 1 then invalid_arg "Reach_cache.create: capacity < 1";
   {
-    table = Hashtbl.create 64;
     engines = Hashtbl.create 64;
     capacity;
     tick = 0;
@@ -47,8 +41,8 @@ let create ?(capacity = 256) () =
   }
 
 let group_key ?(generation = 0) ?(shards = 1) ~entry ~run ~prefix () =
-  (* Executions are immutable once stored, so closure/engine entries for
-     a given (entry, run) stay valid across epochs and the generation
+  (* Executions are immutable once stored, so engine entries for a
+     given (entry, run) stay valid across epochs and the generation
      defaults to 0 — keys are then byte-identical to the frozen ones.
      Callers that must re-key per epoch (anything derived from the whole
      corpus rather than one stored run) pass the generation; callers
@@ -60,13 +54,9 @@ let group_key ?(generation = 0) ?(shards = 1) ~entry ~run ~prefix () =
     (String.concat "," prefix)
     epoch topology
 
-let touch t slot =
-  t.tick <- t.tick + 1;
-  slot.last_used <- t.tick
-
-(* Evict the least-recently-used slot of one table (ties broken towards
-   the smaller key, so eviction order is deterministic). *)
-let evict_lru t tbl =
+(* Evict the least-recently-used slot (ties broken towards the smaller
+   key, so eviction order is deterministic). *)
+let evict_lru t =
   let victim =
     Hashtbl.fold
       (fun k slot best ->
@@ -74,45 +64,35 @@ let evict_lru t tbl =
         | Some (_, bu) when bu < slot.last_used -> best
         | Some (bk, bu) when bu = slot.last_used && bk < k -> best
         | _ -> Some (k, slot.last_used))
-      tbl None
+      t.engines None
   in
   match victim with
   | Some (k, _) ->
-      Hashtbl.remove tbl k;
+      Hashtbl.remove t.engines k;
       t.evictions <- t.evictions + 1;
       Obs.Counter.incr_op m_evictions
   | None -> ()
 
-let find_or_build t tbl ~key build =
-  match Hashtbl.find_opt tbl key with
+let engine t ~key view =
+  t.tick <- t.tick + 1;
+  match Hashtbl.find_opt t.engines key with
   | Some slot ->
       t.hits <- t.hits + 1;
       Obs.Counter.incr_op m_hits;
-      touch t slot;
+      slot.last_used <- t.tick;
       slot.value
   | None ->
       t.misses <- t.misses + 1;
       Obs.Counter.incr_op m_misses;
-      let v = build () in
-      if Hashtbl.length tbl >= t.capacity then evict_lru t tbl;
-      t.tick <- t.tick + 1;
-      Hashtbl.replace tbl key { value = v; last_used = t.tick };
+      let v = Engine.of_exec_view (Lazy.force view) in
+      if Hashtbl.length t.engines >= t.capacity then evict_lru t;
+      Hashtbl.replace t.engines key { value = v; last_used = t.tick };
       v
-
-let closure t ~key view =
-  find_or_build t t.table ~key (fun () ->
-      Reachability.closure (Exec_view.graph view))
-
-let reaches t ~key view u v =
-  Reachability.closure_reaches (closure t ~key view) u v
-
-let engine t ~key view =
-  find_or_build t t.engines ~key (fun () -> Engine.of_exec_view view)
 
 let hits t = t.hits
 let misses t = t.misses
 let evictions t = t.evictions
-let entries t = Hashtbl.length t.table + Hashtbl.length t.engines
+let entries t = Hashtbl.length t.engines
 
 let stats t : stats =
   {
@@ -123,7 +103,6 @@ let stats t : stats =
   }
 
 let clear t =
-  Hashtbl.reset t.table;
   Hashtbl.reset t.engines;
   t.tick <- 0;
   t.hits <- 0;

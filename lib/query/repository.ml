@@ -231,10 +231,10 @@ let structural_query ?cache t ~level name q =
   let plan = Plan.compile q in
   List.mapi
     (fun run exec ->
-      let ev = Access_gate.exec_view gate exec in
+      let ev = lazy (Access_gate.exec_view gate exec) in
       let engine =
         match cache with
-        | None -> Engine.of_exec_view ev
+        | None -> Engine.of_exec_view (Lazy.force ev)
         | Some c ->
             (* One prepared engine (and one memoized closure) per user
                group and run — Sec. 4's cached-information reuse. *)

@@ -1,5 +1,4 @@
 open Wfpriv_workflow
-module Digraph = Wfpriv_graph.Digraph
 
 let rec encode_value = function
   | Data_value.Unit -> Json.Obj [ ("t", Json.str "unit") ]
@@ -65,24 +64,23 @@ let encode_node exec n =
   Json.Obj (base @ rest)
 
 let encode exec =
-  let g = Execution.graph exec in
   Json.Obj
     [
       ("spec", Spec_codec.encode (Execution.spec exec));
       ("nodes", Json.Arr (List.map (encode_node exec) (Execution.nodes exec)));
       ( "edges",
         Json.Arr
-          (List.map
-             (fun (u, v) ->
+          (Execution.fold_edges
+             (fun u v ds acc ->
                Json.Obj
                  [
                    ("src", Json.int u);
                    ("dst", Json.int v);
-                   ( "items",
-                     Json.Arr (List.map Json.int (Execution.edge_items exec u v))
-                   );
-                 ])
-             (Digraph.edges g)) );
+                   ("items", Json.Arr (List.map Json.int ds));
+                 ]
+               :: acc)
+             exec []
+          |> List.rev) );
       ( "items",
         Json.Arr
           (List.map

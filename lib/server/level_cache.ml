@@ -10,11 +10,12 @@ let m_hits = Obs.Registry.counter "server.cache_hits"
 let m_misses = Obs.Registry.counter "server.cache_misses"
 let m_evictions = Obs.Registry.counter "server.cache_evictions"
 
+type key = string * string
 type slot = { value : Wire.result; mutable last_used : int }
 type stats = { hits : int; misses : int; evictions : int; entries : int }
 
 type t = {
-  table : (string, slot) Hashtbl.t;
+  table : (key, slot) Hashtbl.t;
   capacity : int;
   mutable tick : int;
   mutable hits : int;
@@ -27,7 +28,10 @@ let create ?(capacity = 1024) () =
   { table = Hashtbl.create 64; capacity; tick = 0; hits = 0; misses = 0;
     evictions = 0 }
 
-let key ~fingerprint ~request = fingerprint ^ "|" ^ request
+(* Held as its two parts: a fingerprint lists every visible module, so
+   concatenating it per lookup would copy tens of kilobytes per request
+   into the major heap. *)
+let key ~fingerprint ~request = (fingerprint, request)
 
 let find t ~level k =
   match Hashtbl.find_opt t.table k with
@@ -66,7 +70,9 @@ let add t k value =
   Hashtbl.replace t.table k { value; last_used = t.tick }
 
 let keys t =
-  Hashtbl.fold (fun k _ acc -> k :: acc) t.table [] |> List.sort compare
+  Hashtbl.fold (fun (fp, request) _ acc -> (fp ^ "|" ^ request) :: acc) t.table
+    []
+  |> List.sort compare
 
 let stats t : stats =
   {

@@ -27,21 +27,25 @@ val create : ?capacity:int -> unit -> t
     least-recently-used, ties broken deterministically. Raises
     [Invalid_argument] if [capacity < 1]. *)
 
-val key : fingerprint:string -> request:string -> string
-(** The canonical cache key. The fingerprint comes first, so every key
-    of level [l] starts with [l]'s fingerprint prefix — the partition is
-    syntactic, which is what {!keys} lets tests assert. *)
+type key
 
-val find : t -> level:int -> string -> Wire.result option
+val key : fingerprint:string -> request:string -> key
+(** The canonical cache key, rendered [fingerprint ^ "|" ^ request] by
+    {!keys}. The fingerprint comes first, so every key of level [l]
+    starts with [l]'s fingerprint prefix — the partition is syntactic,
+    which is what {!keys} lets tests assert. *)
+
+val find : t -> level:int -> key -> Wire.result option
 (** Bumps recency and the per-level hit/miss counters. *)
 
-val add : t -> string -> Wire.result -> unit
+val add : t -> key -> Wire.result -> unit
 (** Insert (or refresh) an entry, evicting the LRU slot when full. *)
 
 val keys : t -> string list
-(** Every resident key, sorted — the leakage suite checks that all keys
-    carry their level's fingerprint prefix and that flushing one level's
-    traffic never resides under another level's prefix. *)
+(** Every resident key, rendered and sorted — the leakage suite checks
+    that all keys carry their level's fingerprint prefix and that
+    flushing one level's traffic never resides under another level's
+    prefix. *)
 
 type stats = { hits : int; misses : int; evictions : int; entries : int }
 

@@ -148,9 +148,12 @@ let gate_for t (e : Q.Repository.entry) level =
 let engine_for t gate ~entry ~run exec =
   (* The view is determined by the access prefix alone, so levels with
      equal prefixes share one prepared engine — Reach_cache's user-group
-     sharing. Results stay level-partitioned in the level cache. *)
-  let view = Q.Access_gate.exec_view gate exec in
-  let prefix = W.Exec_view.prefix view in
+     sharing. Results stay level-partitioned in the level cache. The
+     gate's allowed prefix is sorted and duplicate-free, hence equal to
+     the view's normalized prefix: the key needs no view, and a hit
+     builds none. *)
+  let view = lazy (Q.Access_gate.exec_view gate exec) in
+  let prefix = Q.Access_gate.allowed gate in
   match t.backing with
   | Sharded sr -> (
       (* Frontier-backed engines: reachability by cross-shard exchange,
@@ -165,7 +168,9 @@ let engine_for t gate ~entry ~run exec =
       match Hashtbl.find_opt t.sengines key with
       | Some eng -> eng
       | None ->
-          let eng = Sh.Frontier.engine_of_exec_view ~shards:nshards view in
+          let eng =
+            Sh.Frontier.engine_of_exec_view ~shards:nshards (Lazy.force view)
+          in
           Hashtbl.replace t.sengines key eng;
           eng)
   | Frozen _ | Live _ ->
@@ -188,6 +193,9 @@ let sindex_for t sr =
       let six = Sh.Sharded_repo.index sr in
       t.sindex <- Some (g, six);
       six
+
+(* Stands in for the key of a frame that never reaches the cache. *)
+let no_key = Level_cache.key ~fingerprint:"" ~request:""
 
 let cache_find t ~level key =
   match t.cache with
@@ -267,12 +275,12 @@ let exec_query_group t ~level ~entry ~run frames =
                         | None -> (f, key, Q_miss asts))
                     | exception Q.Query_parser.Syntax_error { pos; message } ->
                         ( f,
-                          "",
+                          no_key,
                           Q_err
                             (bad f.rid
                                (Printf.sprintf "syntax error at %d: %s" pos
                                   message)) ))
-                | _ -> (f, "", Q_err (bad f.rid "mixed batch")))
+                | _ -> (f, no_key, Q_err (bad f.rid "mixed batch")))
               frames
           in
           let miss_plans =
@@ -378,7 +386,7 @@ let exec_topk_group t ~level frames =
       (fun (f : Wire.req_frame) ->
         match f.req with
         | Wire.Topk { k; keywords } -> (
-            if k <= 0 then (f, "", T_err (bad f.rid "k must be positive"))
+            if k <= 0 then (f, no_key, T_err (bad f.rid "k must be positive"))
             else
               let key =
                 Level_cache.key ~fingerprint:fp ~request:(digest_of f)
@@ -386,7 +394,7 @@ let exec_topk_group t ~level frames =
               match cache_find t ~level key with
               | Some r -> (f, key, T_hit (keywords, r))
               | None -> (f, key, T_miss (k, keywords)))
-        | _ -> (f, "", T_err (bad f.rid "mixed batch")))
+        | _ -> (f, no_key, T_err (bad f.rid "mixed batch")))
       frames
   in
   let searches =

@@ -9,7 +9,12 @@
 
     The nodes of a view are represented by the execution node id of the
     collapsed composite's begin node (or the original node id when not
-    collapsed), so view nodes can be traced back to the execution. *)
+    collapsed), so view nodes can be traced back to the execution.
+
+    A view that collapses nothing is the execution's own CSR plane; a
+    collapsing view is that plane's {e quotient} by the view nodes,
+    built in one pass, each quotient edge carrying the union of the
+    items of the execution edges it absorbs. *)
 
 type t
 
@@ -27,15 +32,35 @@ val prefix : t -> Ids.workflow_id list
 
 val is_full : t -> bool
 (** [true] iff the view collapses nothing — it is structurally the
-    execution itself (same nodes, edges and annotations). Full views
-    share the execution's graph and flat plane instead of materializing
-    a quotient, so consumers can take the execution's CSR directly. *)
+    execution itself (same nodes, edges and annotations) and shares the
+    execution's plane instead of building a quotient. *)
+
+(** {2 The flat plane} *)
+
+val plane : t -> Wfpriv_graph.Csr.t
+(** The view's adjacency over dense indices, rows ascending: the
+    execution's own plane for a full view (dense index = node id), the
+    quotient plane otherwise (dense index = rank among the view's node
+    ids). Shared — read-only. *)
+
+val plane_edge_items : t -> int -> Ids.data_id list
+(** Items on the {!plane} edge at an edge index, sorted. *)
+
+type dense = {
+  ids : int array;  (** dense index -> view node id, ascending *)
+  classes : int array;
+      (** execution node -> dense index of the view node standing for
+          it; an id [u] is a view node iff [ids.(classes.(u)) = u] *)
+}
+
+val dense : t -> dense option
+(** The id maps of a collapsing view; [None] for a full view, whose
+    dense indices are the execution's node ids. The arrays are the
+    view's own — callers must not mutate them. *)
 
 val graph : t -> Wfpriv_graph.Digraph.t
-(** Fresh copy of the collapsed DAG, over representative node ids. *)
-
-val adjacency : t -> Wfpriv_graph.Digraph.t
-(** The collapsed DAG itself, shared — read-only by convention. *)
+(** A fresh boxed rendering of the view, over representative node ids —
+    for the paper-sized algorithms and tests. *)
 
 val nodes : t -> int list
 (** Sorted representative node ids. *)

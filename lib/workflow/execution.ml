@@ -1,7 +1,6 @@
 module Digraph = Wfpriv_graph.Digraph
 module Csr = Wfpriv_graph.Csr
 module Topo = Wfpriv_graph.Topo
-module Dot = Wfpriv_graph.Dot
 
 type node_kind =
   | Input
@@ -19,30 +18,25 @@ type item = {
 }
 
 (* Node ids are dense [0..nb-1] (the builder assigns them sequentially),
-   so per-node attributes live in flat arrays and the adjacency has a
-   canonical flat form: the memoized {!Csr} plane. The boxed [Digraph]
-   is demanded lazily — an execution decoded from a snapshot that
-   carries its plane never builds one unless a predecessor-walking
-   cold path (output_items, dot rendering) asks. *)
+   so per-node attributes live in flat arrays and the adjacency is the
+   {!Csr} plane itself — the only adjacency an execution holds. Edge
+   annotations sit beside it, one list per plane edge index. *)
 type t = {
   spec : Spec.t;
-  graph : Digraph.t Lazy.t;
-  nb : int;
-  plane : Csr.t option Atomic.t;
+  plane : Csr.t;
   kinds : node_kind array;
   scopes : Ids.process_id list array;
-  edge_items : (int * int, Ids.data_id list) Hashtbl.t;
+  edge_data : Ids.data_id list array; (* plane edge index -> items, sorted *)
   items : item array;
 }
 
 let spec t = t.spec
-let adjacency t = Lazy.force t.graph
-let graph t = Digraph.copy (adjacency t)
-let nb_nodes t = t.nb
-let nodes t = List.init t.nb Fun.id
+let csr_plane t = t.plane
+let nb_nodes t = Csr.nb_nodes t.plane
+let nodes t = List.init (nb_nodes t) Fun.id
 
 let node_kind t n =
-  if n < 0 || n >= t.nb then raise Not_found else t.kinds.(n)
+  if n < 0 || n >= nb_nodes t then raise Not_found else t.kinds.(n)
 
 let node_label t n =
   match node_kind t n with
@@ -66,7 +60,7 @@ let module_of_node t n =
       Some module_id
 
 let scope t n =
-  if n < 0 || n >= t.nb then raise Not_found else t.scopes.(n)
+  if n < 0 || n >= nb_nodes t then raise Not_found else t.scopes.(n)
 
 let nodes_of_module t m =
   List.filter
@@ -89,10 +83,24 @@ let node_of_process t p =
   match found with Some n -> n | None -> raise Not_found
 
 let edge_items t u v =
-  Option.value ~default:[] (Hashtbl.find_opt t.edge_items (u, v))
+  match Csr.find_edge t.plane u v with Some e -> t.edge_data.(e) | None -> []
 
-let fold_edge_items f t init =
-  Hashtbl.fold (fun (u, v) ds acc -> f u v ds acc) t.edge_items init
+let edge_items_at t e = t.edge_data.(e)
+
+let fold_edges f t init =
+  let acc = ref init in
+  for u = 0 to nb_nodes t - 1 do
+    for e = Csr.row_start t.plane u to Csr.row_stop t.plane u - 1 do
+      acc := f u (Csr.target t.plane e) t.edge_data.(e) !acc
+    done
+  done;
+  !acc
+
+let graph t =
+  let g = Digraph.create ~initial_capacity:(max 16 (nb_nodes t)) () in
+  List.iter (Digraph.add_node g) (nodes t);
+  fold_edges (fun u v _ () -> Digraph.add_edge g u v) t ();
+  g
 
 let items t = Array.to_list t.items
 let nb_items t = Array.length t.items
@@ -104,7 +112,7 @@ let items_named t name =
   List.filter (fun it -> String.equal it.name name) (items t)
 
 let redact_named t name =
-  (* Shares graph/plane/kind/scope structure (read-only after
+  (* Shares plane/kind/scope/annotation structure (read-only after
      construction) and keeps the same [spec] pointer: stores compare
      specs physically. *)
   {
@@ -117,39 +125,6 @@ let redact_named t name =
         t.items;
   }
 
-(* ------------------------------------------------------------------ *)
-(* The flat adjacency plane *)
-
-let build_plane t =
-  let g = Lazy.force t.graph in
-  (* Node ids are the dense indices themselves, and [iter_succ] visits
-     ascending ids, so rows arrive sorted — no remap, no lists. *)
-  Csr.build ~n:t.nb
-    ~degree:(fun i -> Digraph.out_degree g i)
-    ~iter_row:(fun i f -> Digraph.iter_succ f g i)
-    ~sorted:true ()
-
-let csr_plane t =
-  match Atomic.get t.plane with
-  | Some p -> p
-  | None ->
-      let p = build_plane t in
-      (* A concurrent builder publishes identical content — the race
-         only wastes the loser's build. *)
-      Atomic.set t.plane (Some p);
-      p
-
-let digraph_of_plane plane =
-  let n = Csr.nb_nodes plane in
-  let g = Digraph.create ~initial_capacity:(max 16 n) () in
-  for i = 0 to n - 1 do
-    Digraph.add_node g i
-  done;
-  for i = 0 to n - 1 do
-    Csr.iter_succ plane i (fun j -> Digraph.add_edge g i j)
-  done;
-  g
-
 let of_plane ~spec ~plane ~kinds ~scopes ~edge_items ~items =
   let n = Csr.nb_nodes plane in
   if Array.length kinds <> n then
@@ -158,12 +133,12 @@ let of_plane ~spec ~plane ~kinds ~scopes ~edge_items ~items =
     invalid_arg "Execution.of_plane: scopes length mismatch";
   if not (Csr.is_dag plane) then
     invalid_arg "Execution.of_plane: execution graph is cyclic";
-  let tbl = Hashtbl.create (max 16 (List.length edge_items)) in
+  let edge_data = Array.make (Csr.nb_edges plane) [] in
   List.iter
     (fun ((u, v), ds) ->
-      if not (Csr.mem_edge plane u v) then
-        invalid_arg "Execution.of_plane: items annotate a non-edge";
-      Hashtbl.replace tbl (u, v) (List.sort_uniq compare ds))
+      match Csr.find_edge plane u v with
+      | Some e -> edge_data.(e) <- List.sort_uniq compare ds
+      | None -> invalid_arg "Execution.of_plane: items annotate a non-edge")
     edge_items;
   let items = Array.of_list items in
   Array.iteri
@@ -173,50 +148,25 @@ let of_plane ~spec ~plane ~kinds ~scopes ~edge_items ~items =
       if it.producer < 0 || it.producer >= n then
         invalid_arg "Execution.of_plane: item with unknown producer")
     items;
-  {
-    spec;
-    graph = lazy (digraph_of_plane plane);
-    nb = n;
-    plane = Atomic.make (Some plane);
-    kinds;
-    scopes;
-    edge_items = tbl;
-    items;
-  }
+  { spec; plane; kinds; scopes; edge_data; items }
 
 let output_items t =
   let out_node = List.find_opt (fun n -> node_kind t n = Output) (nodes t) in
   match out_node with
   | None -> []
   | Some o ->
-      Digraph.pred (adjacency t) o
-      |> List.concat_map (fun p -> edge_items t p o)
-      |> List.sort_uniq compare
-      |> List.map (find_item t)
-
-let to_dot t =
-  let style n =
-    match node_kind t n with
-    | Input | Output ->
-        { Dot.label = node_label t n; shape = "ellipse"; fill = Some "gray90" }
-    | Atomic_exec _ -> { Dot.label = node_label t n; shape = "box"; fill = None }
-    | Begin_composite _ | End_composite _ ->
-        { Dot.label = node_label t n; shape = "box"; fill = Some "lightblue" }
-  in
-  let edge_label u v =
-    match edge_items t u v with
-    | [] -> None
-    | ds -> Some (String.concat "," (List.map Ids.data_name ds))
-  in
-  Dot.render ~name:"execution" ~node_style:style ~edge_label (adjacency t)
+      let acc = ref [] in
+      Csr.iter_pred t.plane o (fun p ->
+          acc := List.rev_append (edge_items t p o) !acc);
+      List.sort_uniq compare !acc |> List.map (find_item t)
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>";
-  List.iter
-    (fun (u, v) ->
+  fold_edges
+    (fun u v ds () ->
       Format.fprintf ppf "%s -> %s [%s]@," (node_label t u) (node_label t v)
-        (String.concat "," (List.map Ids.data_name (edge_items t u v))))
-    (Digraph.edges (adjacency t));
+        (String.concat "," (List.map Ids.data_name ds)))
+    t ();
   Format.fprintf ppf "@]"
 
 module Builder = struct
@@ -289,14 +239,28 @@ module Builder = struct
         if it.producer < 0 || it.producer >= n then
           invalid_arg "Execution.Builder.finish: item with unknown producer")
       items;
+    (* [iter_succ] visits ascending ids, so rows arrive sorted. *)
+    let g = b.b_graph in
+    let plane =
+      Csr.build ~n
+        ~degree:(fun i -> Digraph.out_degree g i)
+        ~iter_row:(fun i f -> Digraph.iter_succ f g i)
+        ~sorted:true ()
+    in
+    let edge_data = Array.make (Csr.nb_edges plane) [] in
+    for u = 0 to n - 1 do
+      for e = Csr.row_start plane u to Csr.row_stop plane u - 1 do
+        match Hashtbl.find_opt b.b_edges (u, Csr.target plane e) with
+        | Some ds -> edge_data.(e) <- ds
+        | None -> ()
+      done
+    done;
     {
       spec = b.b_spec;
-      graph = Lazy.from_val b.b_graph;
-      nb = n;
-      plane = Atomic.make None;
+      plane;
       kinds = Array.init n (fun i -> Hashtbl.find b.b_kinds i);
       scopes = Array.init n (fun i -> Hashtbl.find b.b_scopes i);
-      edge_items = b.b_edges;
+      edge_data;
       items;
     }
 end

@@ -35,17 +35,15 @@ type t
 
 val spec : t -> Spec.t
 
-val graph : t -> Wfpriv_graph.Digraph.t
-(** Fresh copy of the execution DAG over node ids. *)
-
-val adjacency : t -> Wfpriv_graph.Digraph.t
-(** The execution DAG itself, shared — read-only by convention. Prefer
-    this over {!graph} on hot paths: no copy. *)
-
 val csr_plane : t -> Wfpriv_graph.Csr.t
-(** The flat CSR form of the DAG (memoized; built on first demand unless
-    the execution was decoded from a snapshot that carried it). Node ids
-    are the dense indices themselves. *)
+(** The execution DAG as a flat CSR plane — the only adjacency an
+    execution holds, built once by {!Builder.finish} or handed to
+    {!of_plane}. Node ids are the dense indices themselves. *)
+
+val graph : t -> Wfpriv_graph.Digraph.t
+(** A fresh boxed rendering of the plane, for the paper's graph
+    algorithms ({!Provenance}, dominators) and tests. Cold paths only:
+    it allocates the whole graph. *)
 
 val nb_nodes : t -> int
 
@@ -76,9 +74,13 @@ val node_of_process : t -> Ids.process_id -> int
 val edge_items : t -> int -> int -> Ids.data_id list
 (** Data items annotated on an edge, sorted; [[]] when absent. *)
 
-val fold_edge_items :
-  (int -> int -> Ids.data_id list -> 'a -> 'a) -> t -> 'a -> 'a
-(** Fold over every annotated edge (unspecified order). *)
+val edge_items_at : t -> int -> Ids.data_id list
+(** Data items on the plane edge at an edge index ({!Wfpriv_graph.Csr}
+    numbering), sorted. *)
+
+val fold_edges : (int -> int -> Ids.data_id list -> 'a -> 'a) -> t -> 'a -> 'a
+(** Fold over every edge with its items ([[]] when unannotated), in
+    ascending [(src, dst)] order. *)
 
 val items : t -> item list
 (** All data items in id order. *)
@@ -110,13 +112,10 @@ val of_plane :
   items:item list ->
   t
 (** Rehydrate an execution directly from its flat adjacency plane — the
-    snapshot-recovery fast path (no [Digraph], no builder; the boxed
-    graph is rebuilt lazily only if a cold path demands it). Validates
+    snapshot-recovery fast path (no [Digraph], no builder). Validates
     kind/scope array lengths, acyclicity, that annotations sit on edges,
     and that item ids are dense with in-range producers; raises
     [Invalid_argument] otherwise. *)
-
-val to_dot : t -> string
 
 val pp : Format.formatter -> t -> unit
 (** Edge listing in the style of Fig. 4. *)
@@ -143,6 +142,6 @@ module Builder : sig
   (** Add an edge (or extend its annotation). *)
 
   val finish : t -> exec
-  (** Freeze; checks the graph is a DAG and every item's producer exists.
-      Raises [Invalid_argument] otherwise. *)
+  (** Freeze into the CSR plane; checks the graph is a DAG and every
+      item's producer exists. Raises [Invalid_argument] otherwise. *)
 end

@@ -375,16 +375,16 @@ let test_reach_cache_engine () =
   let _, privilege, exec = Lazy.force disease in
   let c = Reach_cache.create ~capacity:2 () in
   let ev = Privilege.access_exec_view privilege 1 exec in
-  let e1 = Reach_cache.engine c ~key:"g1" ev in
+  let e1 = Reach_cache.engine c ~key:"g1" (lazy ev) in
   check Alcotest.int "one miss" 1 (Reach_cache.misses c);
-  let e2 = Reach_cache.engine c ~key:"g1" ev in
+  let e2 = Reach_cache.engine c ~key:"g1" (lazy ev) in
   check Alcotest.int "one hit" 1 (Reach_cache.hits c);
   check Alcotest.bool "same prepared engine" true (e1 == e2);
   check Alcotest.int "one entry" 1 (Reach_cache.entries c);
   (* FIFO eviction under the capacity bound. *)
-  ignore (Reach_cache.engine c ~key:"g2" ev);
-  ignore (Reach_cache.engine c ~key:"g3" ev);
-  let e1' = Reach_cache.engine c ~key:"g1" ev in
+  ignore (Reach_cache.engine c ~key:"g2" (lazy ev));
+  ignore (Reach_cache.engine c ~key:"g3" (lazy ev));
+  let e1' = Reach_cache.engine c ~key:"g1" (lazy ev) in
   check Alcotest.bool "g1 was evicted and rebuilt" true (e1 != e1')
 
 (* ------------------------------------------------------------------ *)

@@ -16,37 +16,6 @@ let exec = Disease.run ()
 (* ------------------------------------------------------------------ *)
 (* Reach_cache *)
 
-let test_cache_hits_and_correctness () =
-  let cache = Reach_cache.create () in
-  let view = Exec_view.full exec in
-  let key = Reach_cache.group_key ~entry:"disease" ~run:0 ~prefix:[ "W1" ] () in
-  let g = Exec_view.graph view in
-  let nodes = Exec_view.nodes view in
-  List.iter
-    (fun u ->
-      List.iter
-        (fun v ->
-          check Alcotest.bool "cache agrees with DFS"
-            (Reachability.reaches g u v)
-            (Reach_cache.reaches cache ~key view u v))
-        nodes)
-    nodes;
-  check Alcotest.int "one miss" 1 (Reach_cache.misses cache);
-  check Alcotest.bool "many hits" true (Reach_cache.hits cache > 100);
-  Reach_cache.clear cache;
-  check Alcotest.int "cleared" 0 (Reach_cache.entries cache)
-
-let test_cache_eviction () =
-  let cache = Reach_cache.create ~capacity:2 () in
-  let view = Exec_view.coarsest exec in
-  List.iter
-    (fun k -> ignore (Reach_cache.reaches cache ~key:k view 0 1))
-    [ "a"; "b"; "c"; "a" ];
-  check Alcotest.int "capacity respected" 2 (Reach_cache.entries cache);
-  (* "a" was evicted by "c": 4 lookups, 4 misses is wrong — "a";"b";"c"
-     miss, then "a" misses again after eviction. *)
-  check Alcotest.int "misses" 4 (Reach_cache.misses cache)
-
 let test_cache_in_repository () =
   let policy = Policy.make ~expand_levels:[ ("W2", 1) ] Disease.spec in
   let repo = Repository.create () in
@@ -346,9 +315,6 @@ let () =
     [
       ( "reach_cache",
         [
-          Alcotest.test_case "hits and correctness" `Quick
-            test_cache_hits_and_correctness;
-          Alcotest.test_case "eviction" `Quick test_cache_eviction;
           Alcotest.test_case "repository integration" `Quick
             test_cache_in_repository;
         ] );

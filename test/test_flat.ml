@@ -132,6 +132,190 @@ let prop_plane_vs_digraph_rows =
            (Execution.nodes exec))
 
 (* ------------------------------------------------------------------ *)
+(* Collapsed views: the CSR quotient vs the boxed Digraph construction *)
+
+(* The Digraph-based [Exec_view.of_prefix] the quotient replaced, kept
+   verbatim as the oracle (reading the execution through its boxed
+   rendering): representative map, collapsed set and per-edge items in
+   hashtables, the quotient as a Digraph; a view collapsing nothing is
+   the execution itself. *)
+type oracle = {
+  o_graph : Wfpriv_graph.Digraph.t;
+  o_rep : int -> int;
+  o_collapsed : int -> bool;
+  o_items : int -> int -> Ids.data_id list;
+}
+
+let oracle_of_prefix exec ws =
+  let module Digraph = Wfpriv_graph.Digraph in
+  let spec = Execution.spec exec in
+  let hierarchy = Hierarchy.of_spec spec in
+  let prefix = Hierarchy.normalize_prefix hierarchy ws in
+  let composite_info = Hashtbl.create 8 in
+  List.iter
+    (fun n ->
+      match Execution.node_kind exec n with
+      | Execution.Begin_composite { proc; module_id } ->
+          let w =
+            match Module_def.expansion (Spec.find_module spec module_id) with
+            | Some w -> w
+            | None -> assert false
+          in
+          Hashtbl.replace composite_info proc (n, w)
+      | _ -> ())
+    (Execution.nodes exec);
+  let all_expanded =
+    Hashtbl.fold
+      (fun _ (_, w) acc -> acc && List.mem w prefix)
+      composite_info true
+  in
+  if all_expanded then
+    {
+      o_graph = Execution.graph exec;
+      o_rep =
+        (fun n ->
+          if n >= 0 && n < Execution.nb_nodes exec then n else raise Not_found);
+      o_collapsed = (fun _ -> false);
+      o_items = Execution.edge_items exec;
+    }
+  else begin
+    let rep = Hashtbl.create 32 in
+    let collapsed = Hashtbl.create 8 in
+    List.iter
+      (fun n ->
+        let collapse_at =
+          List.find_opt
+            (fun proc ->
+              let _, w = Hashtbl.find composite_info proc in
+              not (List.mem w prefix))
+            (Execution.scope exec n)
+        in
+        match collapse_at with
+        | Some proc ->
+            let bnode, _ = Hashtbl.find composite_info proc in
+            Hashtbl.replace rep n bnode;
+            Hashtbl.replace collapsed bnode ()
+        | None -> Hashtbl.replace rep n n)
+      (Execution.nodes exec);
+    let graph = Digraph.create () in
+    let edge_items = Hashtbl.create 32 in
+    List.iter
+      (fun n -> Digraph.add_node graph (Hashtbl.find rep n))
+      (Execution.nodes exec);
+    let base = Execution.graph exec in
+    Digraph.iter_edges
+      (fun u v ->
+        let ru = Hashtbl.find rep u and rv = Hashtbl.find rep v in
+        if ru <> rv then begin
+          Digraph.add_edge graph ru rv;
+          let items = Execution.edge_items exec u v in
+          let existing =
+            Option.value ~default:[] (Hashtbl.find_opt edge_items (ru, rv))
+          in
+          Hashtbl.replace edge_items (ru, rv)
+            (List.sort_uniq compare (existing @ items))
+        end)
+      base;
+    {
+      o_graph = graph;
+      o_rep =
+        (fun n ->
+          match Hashtbl.find_opt rep n with
+          | Some r -> r
+          | None -> raise Not_found);
+      o_collapsed = Hashtbl.mem collapsed;
+      o_items =
+        (fun u v ->
+          Option.value ~default:[] (Hashtbl.find_opt edge_items (u, v)));
+    }
+  end
+
+(* Hierarchy shapes: one composite, a wide two-level tree, a deep
+   chain, and a tree whose leaves hold a single atomic module. *)
+let view_shapes =
+  [
+    small_params;
+    { Synthetic.default_params with atomics_per_workflow = 3 };
+    {
+      Synthetic.default_params with
+      levels = 3;
+      composites_per_workflow = 1;
+      edge_probability = 0.5;
+    };
+    {
+      Synthetic.default_params with
+      composites_per_workflow = 3;
+      atomics_per_workflow = 1;
+      edge_probability = 0.6;
+    };
+  ]
+
+let check_quotient exec ws =
+  let module Digraph = Wfpriv_graph.Digraph in
+  let fail fmt =
+    QCheck.Test.fail_reportf
+      ("prefix {%s}: " ^^ fmt)
+      (String.concat "," ws)
+  in
+  let o = oracle_of_prefix exec ws in
+  let v = Exec_view.of_prefix exec ws in
+  let og = o.o_graph in
+  let onodes = Digraph.nodes og in
+  if Exec_view.nodes v <> onodes then fail "nodes differ";
+  if Digraph.edges (Exec_view.graph v) <> Digraph.edges og then
+    fail "edges differ";
+  List.iter
+    (fun u ->
+      List.iter
+        (fun w ->
+          if Exec_view.edge_items v u w <> o.o_items u w then
+            fail "items of %d -> %d differ" u w)
+        onodes)
+    onodes;
+  let visible =
+    List.concat_map (fun (u, w) -> o.o_items u w) (Digraph.edges og)
+    |> List.sort_uniq compare
+  in
+  if Exec_view.visible_items v <> visible then fail "visible items differ";
+  let hidden =
+    List.filter_map
+      (fun (it : Execution.item) ->
+        if List.mem it.Execution.data_id visible then None
+        else Some it.Execution.data_id)
+      (Execution.items exec)
+  in
+  if Exec_view.hidden_items v <> hidden then fail "hidden items differ";
+  let eng = Engine.of_exec_view v in
+  if Engine.nodes eng <> onodes then fail "engine nodes differ";
+  List.iter
+    (fun n ->
+      if Exec_view.representative v n <> o.o_rep n then
+        fail "representative of %d differs" n;
+      if Exec_view.is_collapsed v n <> o.o_collapsed n then
+        fail "is_collapsed %d differs" n;
+      if List.mem n onodes then begin
+        if Engine.succ eng n <> Digraph.succ og n then
+          fail "engine succ of %d differs" n;
+        if Engine.reachable_set eng n <> Reachability.reachable_from og n then
+          fail "engine reachable set of %d differs" n
+      end
+      else if Engine.mem eng n then fail "hidden node %d known to engine" n)
+    (Execution.nodes exec);
+  true
+
+let prop_quotient_vs_digraph =
+  QCheck.Test.make
+    ~name:"collapsed view quotient = Digraph oracle at every prefix"
+    ~count:20
+    QCheck.(pair seed_gen (make Gen.(int_bound (List.length view_shapes - 1))))
+    (fun (seed, shape) ->
+      let spec, exec =
+        Synthetic.run (Rng.create seed) (List.nth view_shapes shape)
+      in
+      List.for_all (check_quotient exec)
+        (Hierarchy.all_prefixes (Hierarchy.of_spec spec)))
+
+(* ------------------------------------------------------------------ *)
 (* Sidecar rehydration vs the Builder rebuild *)
 
 let counters_snapshot () = Obs.Registry.observer_counters ~level:0
@@ -431,6 +615,7 @@ let () =
               prop_closure_vs_boxed;
               prop_plane_vs_digraph_rows;
               prop_plane_decode_differential;
+              prop_quotient_vs_digraph;
             ] );
       ( "sidecar",
         [

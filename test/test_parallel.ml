@@ -332,15 +332,15 @@ let test_reach_cache_lru () =
   let _, privilege, exec = Lazy.force disease in
   let ev = Privilege.access_exec_view privilege 1 exec in
   let c = Reach_cache.create ~capacity:2 () in
-  let ea = Reach_cache.engine c ~key:"a" ev in
-  ignore (Reach_cache.engine c ~key:"b" ev);
+  let ea = Reach_cache.engine c ~key:"a" (lazy ev) in
+  ignore (Reach_cache.engine c ~key:"b" (lazy ev));
   (* Touch [a]: it becomes most-recently-used, so inserting [c] must
      evict [b], not [a] — the FIFO cache got this wrong. *)
-  let ea' = Reach_cache.engine c ~key:"a" ev in
+  let ea' = Reach_cache.engine c ~key:"a" (lazy ev) in
   check Alcotest.bool "hit returns the cached engine" true (ea == ea');
-  ignore (Reach_cache.engine c ~key:"c" ev);
+  ignore (Reach_cache.engine c ~key:"c" (lazy ev));
   check Alcotest.int "one eviction" 1 (Reach_cache.evictions c);
-  let ea'' = Reach_cache.engine c ~key:"a" ev in
+  let ea'' = Reach_cache.engine c ~key:"a" (lazy ev) in
   check Alcotest.bool "recently-used survivor" true (ea == ea'');
   let stats = Reach_cache.stats c in
   check Alcotest.int "stats hits" (Reach_cache.hits c) stats.Reach_cache.hits;

@@ -559,6 +559,38 @@ let prop_wand_differential =
             [ 0; 1; 2; 3; 5; 10 ])
         [ 0; 1; 2; 3; 4 ])
 
+(* Block-max WAND across a block boundary. "x" fills a whole posting
+   block with one document ("d00", 128 modules) and opens its second
+   block at "d10"; "y" (rarer, so heavier) sits alone on "d05", and
+   "d01" holds neither. Once "d00" is ranked, x's lower bound is the
+   undecoded block's floor ("d01") while its real next document is
+   "d10", past y's "d05": the ranker must not score "d10" first and
+   seek y beyond "d05". The generated corpora of
+   [prop_wand_differential] never reach a second block. *)
+let test_wand_multi_block () =
+  let posting doc module_id = { Index.doc; module_id; min_level = 0 } in
+  let raw =
+    List.init 128 (fun m -> ("x", posting "d00" (m + 2)))
+    @ [ ("x", posting "d10" 2); ("y", posting "d05" 2) ]
+    @ List.map (fun d -> ("z", posting d 2)) [ "d01"; "f0"; "f1"; "f2"; "f3" ]
+  in
+  let index = Index.build_postings raw in
+  let terms = [ "x"; "y" ] in
+  let exhaustive = Index.score_entries index ~level:0 terms in
+  check strl "d05 outranks d10" [ "d00"; "d05"; "d10" ]
+    (List.map (fun e -> e.Ranking.doc) (Ranking.rank exhaustive));
+  List.iter
+    (fun k ->
+      check
+        Alcotest.(list (pair string (float 0.0)))
+        (Printf.sprintf "k=%d" k)
+        (List.map (fun e -> (e.Ranking.doc, e.Ranking.score))
+           (Ranking.top_k k exhaustive))
+        (List.map
+           (fun e -> (e.Ranking.doc, e.Ranking.score))
+           (Index.top_k index ~level:0 ~k terms)))
+    [ 1; 2; 3 ]
+
 (* The spec-built index agrees with the TF/IDF model it claims to
    implement: per level, the corpus of every module whose privilege
    floor is <= the level (the witness-admissibility predicate). *)
@@ -650,6 +682,8 @@ let () =
           Alcotest.test_case "per-level strawman" `Quick test_per_level_index;
           Alcotest.test_case "scores match corpus" `Quick
             test_index_scores_match_corpus;
+          Alcotest.test_case "WAND across a block boundary" `Quick
+            test_wand_multi_block;
         ]
         @ List.map QCheck_alcotest.to_alcotest
             [

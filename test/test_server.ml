@@ -206,6 +206,73 @@ let test_frame_rejection () =
   | Wire.Corrupt _ -> ()
   | _ -> Alcotest.fail "malformed JSON line not rejected"
 
+(* A query naming a module index with no module id (below 1, or past
+   [int]) is a per-frame bad-request: the server keeps answering, on the
+   synchronous path and through a channel pair alike. *)
+let bad_module_queries = [ "node(M0)"; "node(M99999999999999999999)" ]
+
+let query_frame ~rid q =
+  frame ~rid ~level:2
+    (Wire.Query { entry = "disease-susceptibility"; run = 0; queries = [ q ] })
+
+let good_query = "node(~\"risk\")"
+
+let expect_bad_request what = function
+  | Wire.Error { code = Wire.Bad_request; retryable = false; _ } -> ()
+  | r ->
+      Alcotest.failf "%s: expected bad-request, got %s" what
+        (Wire.encode_response Wire.Json r)
+
+let expect_answered what = function
+  | Wire.Result { result = Wire.Witnesses [ (true, _ :: _) ]; _ } -> ()
+  | r ->
+      Alcotest.failf "%s: expected an answer, got %s" what
+        (Wire.encode_response Wire.Json r)
+
+let test_bad_module_index () =
+  let server = Server.create (demo_repo ()) in
+  List.iteri
+    (fun i q ->
+      expect_bad_request q
+        (Server.handle server ~client:0 (query_frame ~rid:(i + 1) q));
+      expect_answered ("after " ^ q)
+        (Server.handle server ~client:0 (query_frame ~rid:(i + 10) good_query)))
+    bad_module_queries;
+  let dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let input = Filename.concat dir "in" and output = Filename.concat dir "out" in
+  let frames =
+    List.mapi (fun i q -> query_frame ~rid:(i + 1) q) bad_module_queries
+    @ [ query_frame ~rid:3 good_query ]
+  in
+  Out_channel.with_open_bin input (fun oc ->
+      List.iter
+        (fun f -> output_string oc (Wire.encode_request Wire.Json f))
+        frames);
+  let written =
+    In_channel.with_open_bin input (fun ic ->
+        Out_channel.with_open_bin output (fun oc ->
+            Server.serve_channels (Server.create (demo_repo ())) ic oc))
+  in
+  check Alcotest.int "one response per frame" 3 written;
+  let bytes = In_channel.with_open_bin output In_channel.input_all in
+  let rec decode pos acc =
+    if pos >= String.length bytes then List.rev acc
+    else
+      match Wire.decode_response ~pos bytes with
+      | Wire.Frame (r, used) -> decode (pos + used) (r :: acc)
+      | _ -> Alcotest.fail "undecodable response"
+  in
+  let by_rid r =
+    match r with Wire.Result { rid; _ } | Wire.Error { rid; _ } -> rid
+  in
+  match List.sort (fun a b -> compare (by_rid a) (by_rid b)) (decode 0 []) with
+  | [ r1; r2; r3 ] ->
+      expect_bad_request "M0 over the channel" r1;
+      expect_bad_request "overflowing index over the channel" r2;
+      expect_answered "frame after the bad ones" r3
+  | rs -> Alcotest.failf "expected 3 responses, got %d" (List.length rs)
+
 (* ------------------------------------------------------------------ *)
 (* Leakage *)
 
@@ -647,7 +714,11 @@ let () =
       ( "wire",
         List.map QCheck_alcotest.to_alcotest
           [ roundtrip_request; roundtrip_response; truncation_needs_more ]
-        @ [ Alcotest.test_case "frame rejection" `Quick test_frame_rejection ]
+        @ [
+            Alcotest.test_case "frame rejection" `Quick test_frame_rejection;
+            Alcotest.test_case "bad module index is a bad-request" `Quick
+              test_bad_module_index;
+          ]
       );
       ( "leakage",
         [
